@@ -132,10 +132,31 @@ def _build_scene_memberships(config: SyntheticConfig, rng: np.random.Generator) 
     return np.array(sorted(set(edges)), dtype=np.int64)
 
 
+def _weighted_cdf(probabilities: np.ndarray) -> np.ndarray:
+    """The cumulative distribution ``Generator.choice(p=probabilities)`` builds.
+
+    Computed once per distribution and passed to :func:`_draw_weighted`, so
+    repeated draws do not rebuild it.
+    """
+    cdf = np.asarray(probabilities, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_weighted(values: np.ndarray, cdf: np.ndarray, rng: np.random.Generator):
+    """``rng.choice(values, p=p)`` for ``cdf = _weighted_cdf(p)``.
+
+    One uniform draw located in the CDF, exactly as
+    :meth:`numpy.random.Generator.choice` picks a single weighted value: the
+    pick and the generator's state afterwards are the same as its.
+    """
+    return values[cdf.searchsorted(rng.random(), side="right")]
+
+
 def _item_popularity_by_category(
     config: SyntheticConfig, item_category: np.ndarray, rng: np.random.Generator
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each category, the items it contains and their Zipf click probabilities."""
+    """For each category, the items it contains and the CDF of their Zipf click probabilities."""
     tables: list[tuple[np.ndarray, np.ndarray]] = []
     for category in range(config.num_categories):
         items = np.flatnonzero(item_category == category)
@@ -145,15 +166,14 @@ def _item_popularity_by_category(
         ranks = np.arange(1, items.size + 1, dtype=np.float64)
         weights = ranks ** (-config.item_popularity_exponent)
         order = rng.permutation(items.size)
-        probabilities = weights[order] / weights.sum()
-        tables.append((items, probabilities))
+        tables.append((items, _weighted_cdf(weights[order] / weights.sum())))
     return tables
 
 
 def _draw_user_profiles(
     config: SyntheticConfig, scene_categories: list[np.ndarray], rng: np.random.Generator
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per user: the scenes they care about and their affinity distribution."""
+    """Per user: the scenes they care about and the CDF of their affinity over them."""
     # Only scenes that actually contain categories can be drawn.
     valid_scenes = np.array([s for s, cats in enumerate(scene_categories) if cats.size > 0], dtype=np.int64)
     profiles: list[tuple[np.ndarray, np.ndarray]] = []
@@ -161,23 +181,26 @@ def _draw_user_profiles(
         count = min(config.scenes_per_user, valid_scenes.size)
         scenes = rng.choice(valid_scenes, size=count, replace=False)
         affinity = rng.dirichlet(np.full(count, config.affinity_concentration))
-        profiles.append((scenes, affinity))
+        profiles.append((scenes, _weighted_cdf(affinity)))
     return profiles
 
 
 def _pick_item_for_scene(
     scene: int,
-    scene_categories: list[np.ndarray],
+    scene_pools: list[np.ndarray],
     popularity: list[tuple[np.ndarray, np.ndarray]],
     rng: np.random.Generator,
 ) -> int | None:
-    categories = scene_categories[scene]
-    non_empty = [c for c in categories if popularity[c][0].size > 0]
-    if not non_empty:
+    """A category of the scene uniformly, then an item of it by popularity.
+
+    ``scene_pools`` holds each scene's categories that contain items.
+    """
+    pool = scene_pools[scene]
+    if pool.size == 0:
         return None
-    category = int(rng.choice(np.asarray(non_empty)))
-    items, probabilities = popularity[category]
-    return int(rng.choice(items, p=probabilities))
+    category = int(rng.choice(pool))
+    items, cdf = popularity[category]
+    return int(_draw_weighted(items, cdf, rng))
 
 
 def _pick_noise_item(config: SyntheticConfig, rng: np.random.Generator) -> int:
@@ -203,18 +226,22 @@ def generate_dataset(config: SyntheticConfig) -> SceneRecDataset:
 
     popularity = _item_popularity_by_category(config, item_category, rng)
     profiles = _draw_user_profiles(config, scene_categories, rng)
+    scene_pools = [
+        np.array([c for c in categories if popularity[c][0].size > 0], dtype=np.int64)
+        for categories in scene_categories
+    ]
 
     # ------------------------------------------------------------------ #
     # Clicks (user-item bipartite graph)
     # ------------------------------------------------------------------ #
     interactions: set[tuple[int, int]] = set()
-    for user, (scenes, affinity) in enumerate(profiles):
+    for user, (scenes, affinity_cdf) in enumerate(profiles):
         for _ in range(config.interactions_per_user):
             if rng.random() < config.noise_click_probability:
                 item = _pick_noise_item(config, rng)
             else:
-                scene = int(rng.choice(scenes, p=affinity))
-                picked = _pick_item_for_scene(scene, scene_categories, popularity, rng)
+                scene = int(_draw_weighted(scenes, affinity_cdf, rng))
+                picked = _pick_item_for_scene(scene, scene_pools, popularity, rng)
                 item = picked if picked is not None else _pick_noise_item(config, rng)
             interactions.add((user, item))
     interaction_array = np.array(sorted(interactions), dtype=np.int64)
@@ -223,16 +250,16 @@ def generate_dataset(config: SyntheticConfig) -> SceneRecDataset:
     # Co-view sessions (drive item-item and category-category edges)
     # ------------------------------------------------------------------ #
     sessions: list[list[int]] = []
-    for user, (scenes, affinity) in enumerate(profiles):
+    for user, (scenes, affinity_cdf) in enumerate(profiles):
         for _ in range(config.sessions_per_user):
             session: list[int] = []
-            anchor_scene = int(rng.choice(scenes, p=affinity))
+            anchor_scene = int(_draw_weighted(scenes, affinity_cdf, rng))
             for _ in range(config.session_length):
                 if rng.random() < config.session_scene_coherence:
                     scene = anchor_scene
                 else:
                     scene = int(rng.integers(0, config.num_scenes))
-                picked = _pick_item_for_scene(scene, scene_categories, popularity, rng)
+                picked = _pick_item_for_scene(scene, scene_pools, popularity, rng)
                 session.append(picked if picked is not None else _pick_noise_item(config, rng))
             sessions.append(session)
 

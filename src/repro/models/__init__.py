@@ -11,9 +11,9 @@
 
 Scoring is two-tier (see :mod:`repro.models.base`): pairwise
 ``score(users, items)`` everywhere, plus a catalogue-wide
-``score_matrix(users)`` that factorized models (:class:`FactorizedRecommender`)
-answer with a single matmul — the path :mod:`repro.serving` and the
-full-ranking evaluator are built on.
+``score_matrix(users)`` that factorized models (:class:`FactorizedRecommender`,
+SceneRec included) answer from representations encoded once — the path
+:mod:`repro.serving` and both evaluators are built on.
 """
 
 from repro.models.base import (
@@ -32,7 +32,6 @@ from repro.models.baselines.pinsage import PinSAGE
 from repro.models.baselines.simple import ItemKNN, ItemPop, RandomRecommender
 from repro.models.registry import MODEL_REGISTRY, build_model, list_model_names, register_model
 from repro.models.scenerec import SceneRec, SceneRecConfig
-from repro.models.service import Recommendation, TopKRecommender
 from repro.models.scenerec_variants import SceneRecNoAttention, SceneRecNoItem, SceneRecNoScene
 
 __all__ = [
@@ -48,10 +47,8 @@ __all__ = [
     "NGCF",
     "PinSAGE",
     "RandomRecommender",
-    "Recommendation",
     "Recommender",
     "SceneRec",
-    "TopKRecommender",
     "SceneRecConfig",
     "SceneRecNoAttention",
     "SceneRecNoItem",

@@ -12,8 +12,10 @@ Scoring is a two-tier API:
   score matrix against the whole catalogue.  The base implementation falls
   back to batched :meth:`predict_pairs` tiling, so it works for any model;
   models that can do better override it.  :class:`FactorizedRecommender`
-  provides the override for every model whose score is a user·item dot
-  product (optionally plus an item bias): one ``(U, d) @ (d, I)`` matmul.
+  provides the override for every model whose user and item sides can be
+  encoded independently: the catalogue is encoded once, then scored by a
+  user·item dot product (one ``(U, d) @ (d, I)`` matmul, optionally plus an
+  item bias) or, for SceneRec, by a frozen copy of its rating MLP.
 
 Full-catalogue consumers (the full-ranking evaluator, the serving layer)
 should go through :func:`compute_score_matrix`, which also accepts duck-typed
@@ -22,7 +24,7 @@ models that only define ``score``.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,17 +41,21 @@ __all__ = [
 
 
 class FactorizedRepresentations(NamedTuple):
-    """The pieces of a dot-product scoring function, as plain NumPy arrays.
+    """The pieces of a factorized scoring function, as plain NumPy arrays.
 
     ``users`` is ``(num_users, d)``, ``items`` is ``(num_items, d)`` and
-    ``item_biases`` (optional) is ``(num_items,)``.  The serving layer caches
-    instances of this tuple so the item side is computed once per model
-    refresh instead of once per request.
+    ``item_biases`` (optional) is ``(num_items,)``.  ``head`` (optional)
+    maps ``(user rows, item matrix)`` to their ``(rows, num_items)`` scores
+    in place of the dot product — a frozen copy of the model's own scoring
+    network.  The serving layer
+    caches instances of this tuple so the item side is computed once per
+    model refresh instead of once per request.
     """
 
     users: np.ndarray
     items: np.ndarray
     item_biases: np.ndarray | None = None
+    head: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @property
     def num_items(self) -> int:
@@ -60,12 +66,16 @@ class FactorizedRepresentations(NamedTuple):
 
         Runs in the matrices' own float precision — a float32 serving
         snapshot scores in float32 with no widening copies; models handing
-        out float64 representations keep scoring in float64.
+        out float64 representations keep scoring in float64.  With a
+        ``head`` the head scores the pairs instead of the matmul.
         """
         users = np.asarray(users, dtype=np.int64).reshape(-1)
         user_matrix = _as_float_array(self.users)
         item_matrix = _as_float_array(self.items)
-        scores = user_matrix[users] @ item_matrix.T
+        if self.head is None:
+            scores = user_matrix[users] @ item_matrix.T
+        else:
+            scores = self.head(user_matrix[users], item_matrix)
         if self.item_biases is not None:
             scores = scores + _as_float_array(self.item_biases)[None, :]
         return scores
@@ -169,15 +179,24 @@ class Recommender(Module):
 
 
 class FactorizedRecommender(Recommender):
-    """Recommenders whose score factorizes as ``u · i (+ b_i)``.
+    """Recommenders whose user and item sides are encoded independently.
 
-    Subclasses implement :meth:`factorized_representations`; everything else —
-    the single-matmul :meth:`score_matrix` fast path, the convenience
-    accessors, the serving-layer representation cache — is derived from it.
+    A user's representation does not depend on the item it is scored
+    against, nor the other way round, so both sides are encoded once and
+    then scored: by a dot product ``u · i (+ b_i)``, or by a model head (see
+    :attr:`scored_by_head`).  Subclasses implement
+    :meth:`factorized_representations`; everything else — the catalogue
+    :meth:`score_matrix` fast path, the convenience accessors, the
+    serving-layer representation cache — is derived from it.
     """
 
+    #: Whether a model head, not the dot product, scores user/item pairs.
+    #: Candidate-retrieval indexes rank by dot product, so they cannot
+    #: serve such a model.
+    scored_by_head: bool = False
+
     def factorized_representations(self) -> FactorizedRepresentations:
-        """User matrix, item matrix and optional item biases, computed once.
+        """User matrix, item matrix and optional item biases or head, computed once.
 
         Models that derive both sides from a shared computation (e.g. one
         full-graph propagation) implement this so the work is not repeated per

@@ -14,13 +14,21 @@ The two item views are fused by an MLP (Eq. 13) and the user/item pair is
 scored by a second MLP (Eq. 14).  Training uses the pairwise BPR loss
 (Eq. 15), handled by :class:`repro.training.trainer.Trainer`.
 
+Neither representation depends on the other side of the pair, so SceneRec is
+a :class:`~repro.models.base.FactorizedRecommender`: catalogue scoring
+encodes every user and item once and runs a frozen copy of the Eq. 14 MLP
+(:class:`RatingHead`) over the cross product, and the serving cache and both
+evaluators reuse that snapshot.
+
 Every equation of the paper is referenced in the corresponding method so the
 implementation can be audited line by line against the text.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,14 +37,18 @@ from repro.autograd.tensor import Tensor, no_grad
 from repro.graph.bipartite import UserItemBipartiteGraph
 from repro.graph.sampling import NeighborTable
 from repro.graph.scene_graph import SceneBasedGraph
-from repro.models.base import Recommender
+from repro.models.base import FactorizedRecommender, FactorizedRepresentations
 from repro.nn.activations import resolve_activation
 from repro.nn.embedding import Embedding
 from repro.nn.linear import Linear
 from repro.nn.mlp import MLP
 from repro.utils.rng import new_rng, spawn_rngs
 
-__all__ = ["SceneRecConfig", "SceneRec"]
+__all__ = ["RatingHead", "SceneRecConfig", "SceneRec"]
+
+#: Rows encoded per call when a snapshot encodes the whole catalogue, so the
+#: ``(rows, neighbour cap, dim)`` gathers keep peak memory flat.
+ENCODE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -89,10 +101,33 @@ class SceneRecConfig:
             )
 
 
-class SceneRec(Recommender):
+class RatingHead:
+    """A frozen copy of SceneRec's rating MLP (Eq. 14) for cached representations.
+
+    Scores each user row against the whole item matrix — one MLP pass over
+    ``[m_u ∥ m_i]`` per user, without gradient bookkeeping.  The MLP is
+    copied when the head is made, so further training of the model does not
+    reach a snapshot that holds it.
+    """
+
+    def __init__(self, prediction: MLP) -> None:
+        self._prediction = copy.deepcopy(prediction)
+
+    def __call__(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        scores = np.empty((users.shape[0], items.shape[0]), dtype=np.float64)
+        item_tensor = Tensor(items)
+        with no_grad():
+            for row in range(users.shape[0]):
+                tiled = Tensor(np.broadcast_to(users[row], items.shape))
+                scores[row] = self._prediction(concat([tiled, item_tensor], axis=-1)).data.reshape(-1)
+        return scores
+
+
+class SceneRec(FactorizedRecommender):
     """Scene-based graph neural network for recommendation."""
 
     name = "SceneRec"
+    scored_by_head = True
 
     def __init__(
         self,
@@ -312,45 +347,16 @@ class SceneRec(Recommender):
         item_repr = self.item_representation(items)
         return self.predict_from_representations(user_repr, item_repr)
 
-    def score_matrix(
-        self,
-        users: np.ndarray,
-        num_items: int | None = None,
-        item_batch: int = 8192,
-    ) -> np.ndarray:
-        """Catalogue-wide scores with each representation computed exactly once.
+    def factorized_representations(self) -> FactorizedRepresentations:
+        """Every user's ``m_u`` (Eq. 1), every item's ``m_i`` (Eq. 13) and a :class:`RatingHead`.
 
-        The pairwise path recomputes the (expensive) scene-based item
-        representation for every ``(user, item_chunk)`` tile; here the user
-        batch and the full item catalogue are each encoded once and only the
-        cheap rating MLP (Eq. 14) runs over the cross product.  Call
+        Both sides are encoded :data:`ENCODE_CHUNK` rows at a time.  Call
         :meth:`eval` first when dropout is enabled, as with any scoring path.
         """
-        users = np.asarray(users, dtype=np.int64).reshape(-1)
-        total_items = self.bipartite.num_items
-        if num_items is not None and int(num_items) != total_items:
-            raise ValueError(
-                f"model covers {total_items} items, but num_items={num_items} was requested"
-            )
-        if item_batch <= 0:
-            raise ValueError(f"item_batch must be positive, got {item_batch}")
-        all_items = np.arange(total_items, dtype=np.int64)
-        scores = np.empty((users.size, total_items), dtype=np.float64)
         with no_grad():
-            user_repr = self.user_representation(users).data  # (U, d)
-            item_repr = np.concatenate(
-                [
-                    self.item_representation(all_items[start : start + item_batch]).data
-                    for start in range(0, total_items, item_batch)
-                ],
-                axis=0,
-            )  # (I, d)
-            for row in range(users.size):
-                tiled = np.broadcast_to(user_repr[row], item_repr.shape)
-                scores[row] = self.predict_from_representations(
-                    Tensor(tiled), Tensor(item_repr)
-                ).data.reshape(-1)
-        return scores
+            users = _encode_all(self.user_representation, self.bipartite.num_users)
+            items = _encode_all(self.item_representation, self.bipartite.num_items)
+        return FactorizedRepresentations(users=users, items=items, head=RatingHead(self.prediction))
 
     def bpr_scores(
         self, users: np.ndarray, positive_items: np.ndarray, negative_items: np.ndarray
@@ -379,3 +385,12 @@ class SceneRec(Recommender):
         numerator = float(np.dot(contexts[0], contexts[1]))
         denominator = float(np.linalg.norm(contexts[0]) * np.linalg.norm(contexts[1])) + 1e-8
         return numerator / denominator
+
+
+def _encode_all(encode: Callable[[np.ndarray], Tensor], count: int) -> np.ndarray:
+    """``encode`` over ids ``0 .. count - 1``, in :data:`ENCODE_CHUNK`-row calls."""
+    ids = np.arange(count, dtype=np.int64)
+    return np.concatenate(
+        [encode(ids[start : start + ENCODE_CHUNK]).data for start in range(0, count, ENCODE_CHUNK)],
+        axis=0,
+    )

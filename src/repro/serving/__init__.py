@@ -3,10 +3,11 @@
 Built on the two-tier scoring API of :mod:`repro.models.base`:
 
 * :class:`RecommendationService` — batched, filtered, explained top-K over
-  any trained recommender, answered from one catalogue matmul for factorized
-  models and from each model's fastest ``score_matrix`` path otherwise.
-  With an ANN backend attached (``index=`` and the :mod:`repro.index`
-  package) requests flow retrieve → exact rescore → filter → rank over
+  any trained recommender, answered from a cached catalogue snapshot for
+  factorized models (one matmul, or SceneRec's frozen rating head) and by
+  batched pairwise scoring otherwise.  With an ANN backend attached
+  (``index=`` and the :mod:`repro.index` package; dot-product models only)
+  requests flow retrieve → exact rescore → filter → rank over
   ``candidate_k`` candidates per user instead of the whole catalogue.
 * :class:`RecommendRequest` / :class:`RecommendResponse` — the typed request
   and response envelopes.

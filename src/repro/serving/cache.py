@@ -1,15 +1,19 @@
 """Precomputed representation cache with explicit invalidation.
 
-Factorized models can answer every request from two dense matrices; the cache
-computes them once (lazily, in eval mode, without gradient bookkeeping) and
-hands them out until :meth:`ItemRepresentationCache.refresh` is called —
-which the owner must do after further training or any parameter mutation.
+Factorized models — the dot-product baselines and SceneRec alike — can
+answer every request from two dense matrices (plus, for SceneRec, a frozen
+copy of its rating MLP); the cache computes them once (lazily, in eval mode,
+without gradient bookkeeping) and hands them out until
+:meth:`ItemRepresentationCache.refresh` is called — which the owner must do
+after further training or any parameter mutation.
 
-The snapshot is stored in a configurable ``dtype`` — float32 by default:
-serving is memory-bandwidth-bound, and halving every matrix the hot path
-touches (score matmuls, index builds, candidate rescoring) buys real
+A dot-product snapshot is stored in a configurable ``dtype`` — float32 by
+default: serving is memory-bandwidth-bound, and halving every matrix the hot
+path touches (score matmuls, index builds, candidate rescoring) buys real
 throughput while model training stays float64.  Pass ``dtype="float64"``
-for bit-exact parity with the live model's scores.
+for bit-exact parity with the live model's scores.  A head-scored snapshot
+always stays float64: its head is a float64 MLP, and rounding the head's
+inputs to float32 would move its scores for no bandwidth saving.
 
 Downstream state derived from the cached matrices (most importantly a
 candidate-retrieval index built over the item side) must go stale in the same
@@ -45,10 +49,11 @@ _SNAPSHOT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 class ItemRepresentationCache:
     """Lazy cache of a factorized model's user/item representation matrices.
 
-    ``dtype`` fixes the snapshot precision (float32 default, float64 for
-    bit-exact serving); all rows handed to partial-refresh listeners are in
-    this dtype too, so derived state (indexes, monitor oracles) stays
-    precision-consistent with the snapshot it was built from.
+    ``dtype`` fixes the precision of a dot-product snapshot (float32
+    default, float64 for bit-exact serving); all rows handed to
+    partial-refresh listeners are in the snapshot's dtype too, so derived
+    state (indexes, monitor oracles) stays precision-consistent with the
+    snapshot it was built from.  Head-scored snapshots are always float64.
     """
 
     def __init__(self, model: object, dtype: "str | np.dtype" = "float32") -> None:
@@ -68,7 +73,7 @@ class ItemRepresentationCache:
 
     @property
     def dtype(self) -> np.dtype:
-        """The snapshot precision."""
+        """The precision of a dot-product snapshot."""
         return self._dtype
 
     @property
@@ -85,18 +90,20 @@ class ItemRepresentationCache:
             )
         if self._representations is None:
             representations = self._compute_live()
-            # Snapshot with copies (casting to the cache dtype): models may
-            # hand out live views of their weight tables, and row-sparse
+            # Snapshot with copies (casting to the snapshot dtype): models
+            # may hand out live views of their weight tables, and row-sparse
             # optimisers mutate those in place — a cache must stay stale
-            # until refresh().
+            # until refresh().  A head is already a frozen copy.
+            dtype = self._dtype if representations.head is None else np.dtype(np.float64)
             self._representations = FactorizedRepresentations(
-                users=np.array(representations.users, dtype=self._dtype, copy=True),
-                items=np.array(representations.items, dtype=self._dtype, copy=True),
+                users=np.array(representations.users, dtype=dtype, copy=True),
+                items=np.array(representations.items, dtype=dtype, copy=True),
                 item_biases=(
                     None
                     if representations.item_biases is None
-                    else np.array(representations.item_biases, dtype=self._dtype, copy=True)
+                    else np.array(representations.item_biases, dtype=dtype, copy=True)
                 ),
+                head=representations.head,
             )
         return self._representations
 
@@ -162,7 +169,8 @@ class ItemRepresentationCache:
         If the pulled representations turn out to differ *outside* the named
         rows (propagation models spread any parameter change across
         neighbours and the user side), the patch would be unsound and a full
-        :meth:`refresh` runs instead.
+        :meth:`refresh` runs instead — as it always does for a head-scored
+        snapshot, whose frozen head may have moved with the model.
 
         A cold cache is a no-op — the next :meth:`get` recomputes everything
         from the live model anyway, and derived state was invalidated with
@@ -182,11 +190,15 @@ class ItemRepresentationCache:
                 f"item ids must lie in [0, {cached.num_items}), "
                 f"got range [{ids.min()}, {ids.max()}]"
             )
+        dtype = cached.items.dtype
         if items is None:
             if item_biases is not None:
                 raise ValueError("item_biases without items: pass both or neither")
+            if cached.head is not None:
+                self.refresh()
+                return
             live = self._compute_live()
-            live_items = np.asarray(live.items, dtype=self._dtype)
+            live_items = np.asarray(live.items, dtype=dtype)
             if not self._change_confined_to(live, cached, ids):
                 # Propagation models (LightGCN, NGCF, …) mix nodes: an item
                 # update moves neighbouring rows and the user side too, so a
@@ -198,10 +210,10 @@ class ItemRepresentationCache:
             biases = (
                 None
                 if live.item_biases is None or cached.item_biases is None
-                else np.asarray(live.item_biases, dtype=self._dtype)[ids]
+                else np.asarray(live.item_biases, dtype=dtype)[ids]
             )
         else:
-            rows = np.asarray(items, dtype=self._dtype)
+            rows = np.asarray(items, dtype=dtype)
             if rows.ndim == 1:
                 rows = rows[None, :]
             if rows.shape != (ids.size, cached.items.shape[1]):
@@ -213,7 +225,7 @@ class ItemRepresentationCache:
             if cached.item_biases is not None:
                 if item_biases is None:
                     raise ValueError("this model has item biases; refresh_items needs item_biases")
-                biases = np.asarray(item_biases, dtype=self._dtype).reshape(-1)
+                biases = np.asarray(item_biases, dtype=dtype).reshape(-1)
                 if biases.size != ids.size:
                     raise ValueError(f"{biases.size} biases for {ids.size} refreshed items")
             elif item_biases is not None:

@@ -1,13 +1,13 @@
 """The recommendation service: vectorized multi-user top-K on any model.
 
 The service is the serving-side consumer of the two-tier scoring API
-(:mod:`repro.models.base`): factorized models are answered from a precomputed
-representation cache with one matmul per request, models with a bespoke
-catalogue path (e.g. SceneRec) go through their ``score_matrix`` override,
-and everything else falls back to batched pairwise scoring — same results,
-different speed.
+(:mod:`repro.models.base`): factorized models — the dot-product baselines and
+SceneRec — are answered from a representation cache encoded once per
+:meth:`RecommendationService.refresh`, scored with one matmul (or SceneRec's
+frozen rating head) per request; everything else falls back to batched
+pairwise scoring of the live model — same results, different speed.
 
-On top of that, a service over a factorized model can take a candidate-
+On top of that, a service over a dot-product model can take a candidate-
 retrieval **index** (:mod:`repro.index`): each request then first retrieves
 ``candidate_k`` items per user from the index and only those are exactly
 rescored, filtered and ranked — O(users × candidate_k × dim) instead of
@@ -39,7 +39,8 @@ traffic).  Top-K selection widens scores to float64 exactly once, inside
 the top-k helpers, so tie-breaking — :func:`numpy.argpartition` prefixes
 with ties broken by ascending item id — is reproducible and identical to a
 stable full sort whatever the serving precision.  ``dtype="float64"``
-restores bit-exact parity with the live model.
+restores bit-exact parity with the live model; a head-scored snapshot
+(SceneRec) is always float64.
 """
 
 from __future__ import annotations
@@ -75,6 +76,9 @@ _LOGGER = get_logger("serving.service")
 #: starve the final ranking, with an absolute floor for tiny ``k``.
 DEFAULT_CANDIDATE_MULTIPLE = 4
 MIN_CANDIDATE_K = 64
+#: Pairs per model call when a model without factorized representations is
+#: scored through batched pairwise tiling.
+PAIRWISE_ITEM_BATCH = 8192
 #: Element budget of one candidate-rescoring gather chunk: the
 #: ``(rows, candidate_k, dim)`` item gather is processed in row chunks of at
 #: most this many elements (~16 MB float32 / ~32 MB float64), so peak memory
@@ -149,18 +153,13 @@ class RecommendationService:
     base_filters:
         filters applied to *every* request (e.g. a global denylist), before
         any per-request filters.
-    item_batch:
-        pair budget per model call on the fallback scoring path.
-    cache_representations:
-        precompute factorized representations once and reuse them across
-        requests (the default).  Disable to score the live model on every
-        request, e.g. while it is still being trained.
     index:
         optional candidate-retrieval backend (:mod:`repro.index`): an
         :class:`~repro.index.ItemIndex` instance, or a registered backend
         name (``"exact"``, ``"ivf"``, ``"ivfpq"``, ``"lsh"``) built with
         defaults.
-        Requires a factorized model with representation caching enabled.
+        Requires a dot-product :class:`~repro.models.base.FactorizedRecommender`;
+        a head-scored model (SceneRec) is refused at construction.
         The index is built lazily over the cached item representations and
         rebuilt automatically after every :meth:`refresh`.
     candidate_k:
@@ -175,7 +174,8 @@ class RecommendationService:
     dtype:
         serving precision — ``"float32"`` (default) or ``"float64"``.  Sets
         the representation-cache snapshot dtype, which the score matmuls,
-        the index build and the candidate rescoring all inherit.
+        the index build and the candidate rescoring all inherit.  A
+        head-scored snapshot (SceneRec) stays float64 either way.
     auto_tune:
         apply the monitor's probe-width suggestion automatically.  Requires
         a ``monitor`` with ``target_recall`` set: when the windowed
@@ -214,7 +214,8 @@ class RecommendationService:
         null bundle: instrumented call sites skip their clock reads
         entirely, keeping the uninstrumented hot path at full speed.
 
-    After further training of ``model``, call :meth:`refresh` to invalidate
+    Factorized models are served from a snapshot that is stale by design:
+    after further training of ``model``, call :meth:`refresh` to invalidate
     the precomputed representation and explanation caches (and the index).
     When only a few item rows changed, :meth:`refresh_items` propagates them
     everywhere — cache, index, monitor oracle — without any rebuild.
@@ -226,8 +227,6 @@ class RecommendationService:
         bipartite: UserItemBipartiteGraph,
         scene_graph: SceneBasedGraph | None = None,
         base_filters: Sequence[CandidateFilter] = (),
-        item_batch: int = 8192,
-        cache_representations: bool = True,
         index: "ItemIndex | str | None" = None,
         candidate_k: int | None = None,
         monitor: RecallMonitor | None = None,
@@ -239,16 +238,12 @@ class RecommendationService:
     ) -> None:
         if scene_graph is not None and scene_graph.num_items != bipartite.num_items:
             raise ValueError("scene graph and bipartite graph disagree on the number of items")
-        if item_batch <= 0:
-            raise ValueError(f"item_batch must be positive, got {item_batch}")
         if candidate_k is not None and candidate_k <= 0:
             raise ValueError(f"candidate_k must be positive, got {candidate_k}")
         self.model = model
         self.bipartite = bipartite
         self.scene_graph = scene_graph
         self.base_filters = tuple(base_filters)
-        self.item_batch = item_batch
-        self.cache_representations = bool(cache_representations)
         self._exclude_seen = ExcludeSeenFilter(bipartite)
         self._cache = ItemRepresentationCache(model, dtype=dtype)
         self.dtype = self._cache.dtype
@@ -356,28 +351,24 @@ class RecommendationService:
     # ------------------------------------------------------------------ #
     # Scoring
     # ------------------------------------------------------------------ #
-    def score_matrix(self, users: "np.ndarray | Sequence[int]", item_batch: int | None = None) -> np.ndarray:
+    def score_matrix(self, users: "np.ndarray | Sequence[int]") -> np.ndarray:
         """``(len(users), num_items)`` model scores, via the fastest available path.
 
-        On the cached path the matrix is computed — and returned — in the
-        serving ``dtype``; the uncached fallback scores the live model in
-        float64.
+        Factorized models are scored from the cached snapshot, in its dtype;
+        any other model is scored live, in float64, by batched pairwise
+        tiling.
         """
         users = self._check_users(users)
-        if item_batch is None:
-            item_batch = self.item_batch
-        elif item_batch <= 0:
-            raise ValueError(f"item_batch must be positive, got {item_batch}")
         model = self.model
         was_training = getattr(model, "training", False)
         if hasattr(model, "eval"):
             model.eval()
         try:
             with no_grad():
-                if self.cache_representations and self._cache.supported:
+                if self._cache.supported:
                     return self._cache.get().score_matrix(users)
                 return compute_score_matrix(
-                    model, users, num_items=self.bipartite.num_items, item_batch=item_batch
+                    model, users, num_items=self.bipartite.num_items, item_batch=PAIRWISE_ITEM_BATCH
                 )
         finally:
             if was_training and hasattr(model, "train"):
@@ -762,10 +753,10 @@ class RecommendationService:
                 f"candidate retrieval needs a FactorizedRecommender, "
                 f"got {type(self.model).__name__}; drop index= or use a factorized model"
             )
-        if not self.cache_representations:
-            raise ValueError(
-                "candidate retrieval builds on the representation cache; "
-                "index= requires cache_representations=True"
+        if self.model.scored_by_head:
+            raise TypeError(
+                f"candidate retrieval ranks by dot product, but {type(self.model).__name__} "
+                "scores user/item pairs with a model head; drop index="
             )
         self._cache.subscribe(self._invalidate_index)
         self._cache.subscribe_partial(self._apply_partial_update)

@@ -73,6 +73,28 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
+def count_item_rows():
+    """Wrap one SceneRec instance's ``item_representation`` to count encoded item rows.
+
+    ``count_item_rows(model)`` returns a one-element list whose entry grows by
+    the rows of every later call; only this instance's attribute is replaced.
+    """
+
+    def wrap(model) -> list[int]:
+        rows = [0]
+        encode = model.item_representation
+
+        def item_representation(items):
+            rows[0] += int(np.size(items))
+            return encode(items)
+
+        model.item_representation = item_representation
+        return rows
+
+    return wrap
+
+
+@pytest.fixture
 def toy_bipartite() -> UserItemBipartiteGraph:
     """A hand-written 3-user / 5-item bipartite graph with known structure."""
     interactions = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 3), (2, 0), (2, 4)]

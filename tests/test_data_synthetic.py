@@ -9,6 +9,7 @@ import pytest
 
 from repro.data import DATASET_CONFIGS, SyntheticConfig, dataset_config, generate_dataset, list_dataset_names
 from repro.data.configs import PAPER_TABLE1
+from repro.data.synthetic import _draw_weighted, _weighted_cdf
 
 
 class TestSyntheticConfigValidation:
@@ -131,6 +132,23 @@ class TestGeneration:
             if total:
                 in_scene_fraction.append(shared / total)
         assert np.mean(in_scene_fraction) > 0.4
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 40])
+def test_cached_cdf_draws_match_generator_choice(size):
+    """Drawing through a precomputed CDF is ``Generator.choice(p=...)``, draw for draw.
+
+    The generator's datasets stay byte-identical only if every pick *and*
+    the generator state after it match the per-call ``choice``.
+    """
+    weights = np.random.default_rng(size).dirichlet(np.full(size, 0.5))
+    values = np.arange(100, 100 + size, dtype=np.int64)
+    cdf = _weighted_cdf(weights)
+    cached, reference = np.random.default_rng(7), np.random.default_rng(7)
+    picks = [_draw_weighted(values, cdf, cached) for _ in range(5_000)]
+    expected = [reference.choice(values, p=weights) for _ in range(5_000)]
+    assert picks == expected
+    assert cached.bit_generator.state == reference.bit_generator.state
 
 
 class TestNamedConfigs:

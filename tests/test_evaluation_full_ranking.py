@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.evaluation import FullRankingEvaluator, RankingEvaluator
-from repro.models import BPRMF, ItemPop, RandomRecommender
+from repro.evaluation.metrics import rank_of_positive
+from repro.models import BPRMF, ItemPop, RandomRecommender, SceneRec, SceneRecConfig
 from repro.training import TrainConfig, Trainer
 
 
@@ -73,3 +74,47 @@ class TestFullRankingEvaluator:
             FullRankingEvaluator(tiny_split, which="train")
         with pytest.raises(ValueError):
             FullRankingEvaluator(tiny_split, k=10).evaluate(RandomRecommender(seed=0), item_batch=0)
+
+
+class TestSceneRecEvaluation:
+    """Both evaluators score SceneRec from one catalogue snapshot per ``evaluate()``."""
+
+    @staticmethod
+    def _model(tiny_train_graph, tiny_scene_graph):
+        model = SceneRec(
+            tiny_train_graph,
+            tiny_scene_graph,
+            SceneRecConfig(embedding_dim=8, item_item_cap=4, category_category_cap=3, category_scene_cap=3, seed=0),
+        )
+        model.eval()
+        return model
+
+    @staticmethod
+    def _pairwise_scores(model, user, items):
+        return np.asarray(model.score(np.full(items.size, user), items), dtype=np.float64)
+
+    def test_evaluators_encode_the_catalogue_once_per_call(
+        self, tiny_split, tiny_train_graph, tiny_scene_graph, count_item_rows
+    ):
+        model = self._model(tiny_train_graph, tiny_scene_graph)
+        rows = count_item_rows(model)
+        chunk = 4
+        assert len(tiny_split.test) > 2 * chunk  # several chunks per call
+        sampled = RankingEvaluator(tiny_split.test, k=10).evaluate(model, batch_users=chunk)
+        assert rows[0] == tiny_train_graph.num_items
+        full = FullRankingEvaluator(tiny_split, k=10).evaluate(model, user_batch=chunk)
+        assert rows[0] == 2 * tiny_train_graph.num_items
+
+        all_items = np.arange(tiny_train_graph.num_items)
+        train_items = tiny_split.train_user_items()
+        sampled_ranks, full_ranks = [], []
+        for instance in tiny_split.test:
+            candidate_scores = self._pairwise_scores(model, instance.user, instance.candidates())
+            sampled_ranks.append(rank_of_positive(candidate_scores[0], candidate_scores[1:]))
+            scores = self._pairwise_scores(model, instance.user, all_items)
+            competitors = np.ones(all_items.size, dtype=bool)
+            competitors[instance.positive_item] = False
+            competitors[train_items[instance.user]] = False
+            full_ranks.append(rank_of_positive(scores[instance.positive_item], scores[competitors]))
+        np.testing.assert_array_equal(sampled.ranks, sampled_ranks)
+        np.testing.assert_array_equal(full.ranks, full_ranks)

@@ -3,7 +3,8 @@
 The key invariant: the vectorized batch top-K of
 :class:`~repro.serving.RecommendationService` must rank exactly like a
 stable full sort of the pairwise scores — for factorized models (cache +
-matmul path), SceneRec (bespoke catalogue path) and fallback models alike.
+matmul path), SceneRec (cache + frozen rating head) and fallback models
+alike.
 """
 
 from __future__ import annotations
@@ -136,8 +137,6 @@ class TestRecommendationService:
             RecommendRequest(users=(0,), k=0)
         with pytest.raises(IndexError):
             bpr_service.top_k(10_000, k=3)
-        with pytest.raises(ValueError):
-            bpr_service.score_matrix(np.array([0]), item_batch=0)
 
     def test_mismatched_graphs_rejected(self, bpr_service, tiny_train_graph):
         from repro.graph import SceneBasedGraph
@@ -145,6 +144,29 @@ class TestRecommendationService:
         wrong = SceneBasedGraph(2, 2, 1, item_category=[0, 1], scene_category_edges=[(0, 0)])
         with pytest.raises(ValueError):
             RecommendationService(bpr_service.model, tiny_train_graph, wrong)
+
+    def test_recommend_batch_passes_options_through(self, tiny_train_graph, tiny_scene_graph):
+        """Regression: the seed top-K wrapper dropped exclude_seen/explain in batch mode."""
+        from repro.models import ItemPop
+
+        service = RecommendationService(ItemPop(tiny_train_graph), tiny_train_graph, tiny_scene_graph)
+        heavy_user = max(range(tiny_train_graph.num_users), key=tiny_train_graph.user_degree)
+        seen = set(tiny_train_graph.user_items(heavy_user).tolist())
+        with_seen = service.recommend_batch([heavy_user], k=10, exclude_seen=False)
+        without_seen = service.recommend_batch([heavy_user], k=10)
+        assert {rec.item for rec in with_seen[heavy_user]} & seen
+        assert not {rec.item for rec in without_seen[heavy_user]} & seen
+
+    def test_recommend_batch_explain_passes_through(self, scenerec_service):
+        batch = scenerec_service.recommend_batch([0, 1], k=3, explain=True)
+        assert all(rec.scene_affinity is not None for recs in batch.values() for rec in recs)
+
+    def test_recommend_batch_empty_users_returns_empty_dict(self, tiny_train_graph, tiny_scene_graph):
+        """An empty user list yields {}, not an error."""
+        from repro.models import ItemPop
+
+        service = RecommendationService(ItemPop(tiny_train_graph), tiny_train_graph)
+        assert service.recommend_batch([]) == {}
 
     def test_score_matrix_shape_and_parity(self, bpr_service, tiny_train_graph):
         users = np.array([0, 5])
@@ -365,12 +387,6 @@ class TestServiceCandidateRetrieval:
         model = build_model("ItemKNN", tiny_train_graph, tiny_scene_graph, embedding_dim=8, seed=0)
         with pytest.raises(TypeError, match="FactorizedRecommender"):
             RecommendationService(model, tiny_train_graph, tiny_scene_graph, index="exact")
-
-    def test_index_requires_representation_cache(self, model, tiny_train_graph, tiny_scene_graph):
-        with pytest.raises(ValueError, match="cache_representations"):
-            RecommendationService(
-                model, tiny_train_graph, tiny_scene_graph, index="exact", cache_representations=False
-            )
 
     def test_retrieve_requires_an_index(self, plain_service):
         with pytest.raises(RuntimeError, match="no candidate-retrieval index"):
@@ -687,15 +703,80 @@ class TestRepresentationCache:
         with pytest.raises(TypeError):
             cache.get()
 
-    def test_caching_can_be_disabled(self, tiny_train_graph, tiny_scene_graph, tiny_split):
-        model = build_model("BPR-MF", tiny_train_graph, tiny_scene_graph, embedding_dim=8, seed=0)
-        service = RecommendationService(
-            model, tiny_train_graph, tiny_scene_graph, cache_representations=False
-        )
-        before = service.score_matrix(np.array([0])).copy()
+
+def _tiny_scenerec(graph, scene_graph):
+    return SceneRec(
+        graph,
+        scene_graph,
+        SceneRecConfig(embedding_dim=8, item_item_cap=4, category_category_cap=3, category_scene_cap=3, seed=1),
+    )
+
+
+class TestSceneRecSnapshot:
+    """SceneRec served from the representation cache: encoded once, scored by a frozen head."""
+
+    def test_default_dtype_scores_match_pairwise_tier(self, scenerec_service, tiny_train_graph):
+        model = scenerec_service.model
+        assert scenerec_service.dtype == np.float32
+        users = np.arange(tiny_train_graph.num_users)
+        all_items = np.arange(tiny_train_graph.num_items)
+        reference = np.stack([model.score(np.full(all_items.size, user), all_items) for user in users])
+        np.testing.assert_allclose(scenerec_service.score_matrix(users), reference, rtol=1e-9, atol=1e-9)
+        response = scenerec_service.recommend(RecommendRequest(users=(0, 7), k=5))
+        for row, user in enumerate((0, 7)):
+            served = response.results[row]
+            np.testing.assert_allclose(
+                [rec.score for rec in served], reference[user, [rec.item for rec in served]], rtol=1e-9, atol=1e-9
+            )
+
+    def test_requests_encode_no_items_once_warm(self, tiny_train_graph, tiny_scene_graph, count_item_rows):
+        model = _tiny_scenerec(tiny_train_graph, tiny_scene_graph)
+        model.eval()
+        rows = count_item_rows(model)
+        service = RecommendationService(model, tiny_train_graph, tiny_scene_graph)
+        service.recommend(RecommendRequest(users=(0,), k=5))
+        assert rows[0] == tiny_train_graph.num_items
+        service.recommend(RecommendRequest(users=(1, 2, 3), k=5, explain=True))
+        assert rows[0] == tiny_train_graph.num_items
+
+    def test_training_without_refresh_leaves_scores_unchanged(self, tiny_train_graph, tiny_scene_graph, tiny_split):
+        model = _tiny_scenerec(tiny_train_graph, tiny_scene_graph)
+        service = RecommendationService(model, tiny_train_graph, tiny_scene_graph)
+        users = np.arange(tiny_train_graph.num_users)
+        before = service.score_matrix(users).copy()
         Trainer(model, tiny_split, TrainConfig(epochs=1, batch_size=64, eval_every=0)).fit()
-        # No refresh() needed: every request scores the live model.
-        assert not np.allclose(service.score_matrix(np.array([0])), before)
+        # The snapshot's rating head is a frozen copy, not the live MLP.
+        np.testing.assert_array_equal(service.score_matrix(users), before)
+        service.refresh()
+        refreshed = service.score_matrix(users)
+        assert not np.allclose(refreshed, before)
+        fresh = RecommendationService(model, tiny_train_graph, tiny_scene_graph).score_matrix(users)
+        np.testing.assert_array_equal(refreshed, fresh)
+
+    def test_refresh_items_refreshes_the_whole_snapshot(self, tiny_train_graph, tiny_scene_graph):
+        model = _tiny_scenerec(tiny_train_graph, tiny_scene_graph)
+        # float64, so the live encodings compare bit-equal to the snapshot's.
+        service = RecommendationService(model, tiny_train_graph, tiny_scene_graph, dtype="float64")
+        users = np.arange(tiny_train_graph.num_users)
+        service.score_matrix(users)
+        # Only the rating MLP moves: the user and item encodings stay put,
+        # so a row-level patch would keep serving the old head.
+        model.prediction.layers[0].weight.data += 0.5
+        service.refresh_items([3])
+        fresh = RecommendationService(model, tiny_train_graph, tiny_scene_graph).score_matrix(users)
+        np.testing.assert_array_equal(service.score_matrix(users), fresh)
+
+    @pytest.mark.parametrize("index", ["exact", "ivf"])
+    def test_index_refused_at_construction(
+        self, index, tiny_train_graph, tiny_scene_graph, tmp_path, count_item_rows
+    ):
+        model = _tiny_scenerec(tiny_train_graph, tiny_scene_graph)
+        rows = count_item_rows(model)
+        with pytest.raises(TypeError, match="model head"):
+            RecommendationService(model, tiny_train_graph, tiny_scene_graph, index=index)
+        with pytest.raises(TypeError, match="model head"):
+            RecommendationService(model, tiny_train_graph, tiny_scene_graph, snapshots=tmp_path)
+        assert rows[0] == 0
 
 
 class TestExplanations:
@@ -721,68 +802,6 @@ class TestExplanations:
         explainer = SceneAffinityExplainer(bpr_service.model)
         assert not explainer.supported
         assert explainer.affinities(np.array([0]), np.array([1])) is None
-
-
-class TestDeprecatedShim:
-    def test_topk_recommender_warns_and_delegates(self, tiny_train_graph, tiny_scene_graph):
-        from repro.models import TopKRecommender
-
-        model = build_model("BPR-MF", tiny_train_graph, tiny_scene_graph, embedding_dim=8, seed=0)
-        with pytest.warns(DeprecationWarning):
-            shim = TopKRecommender(model, tiny_train_graph, tiny_scene_graph)
-        service = RecommendationService(model, tiny_train_graph, tiny_scene_graph)
-        assert [rec.item for rec in shim.top_k(0, k=5)] == [rec.item for rec in service.top_k(0, k=5)]
-
-    def test_recommend_batch_passes_options_through(self, tiny_train_graph, tiny_scene_graph):
-        """Regression: the seed shim dropped exclude_seen/explain in batch mode."""
-        from repro.models import ItemPop, TopKRecommender
-
-        model = ItemPop(tiny_train_graph)
-        with pytest.warns(DeprecationWarning):
-            shim = TopKRecommender(model, tiny_train_graph, tiny_scene_graph)
-        heavy_user = max(range(tiny_train_graph.num_users), key=tiny_train_graph.user_degree)
-        seen = set(tiny_train_graph.user_items(heavy_user).tolist())
-        with_seen = shim.recommend_batch([heavy_user], k=10, exclude_seen=False)
-        without_seen = shim.recommend_batch([heavy_user], k=10)
-        assert {rec.item for rec in with_seen[heavy_user]} & seen
-        assert not {rec.item for rec in without_seen[heavy_user]} & seen
-
-    def test_recommend_batch_explain_passes_through(self, scenerec_service, tiny_train_graph, tiny_scene_graph):
-        from repro.models import TopKRecommender
-
-        with pytest.warns(DeprecationWarning):
-            shim = TopKRecommender(scenerec_service.model, tiny_train_graph, tiny_scene_graph)
-        batch = shim.recommend_batch([0, 1], k=3, explain=True)
-        assert all(rec.scene_affinity is not None for recs in batch.values() for rec in recs)
-
-    def test_recommend_batch_empty_users_returns_empty_dict(self, tiny_train_graph, tiny_scene_graph):
-        """Legacy contract: an empty user list yields {}, not an error."""
-        from repro.models import ItemPop, TopKRecommender
-
-        with pytest.warns(DeprecationWarning):
-            shim = TopKRecommender(ItemPop(tiny_train_graph), tiny_train_graph)
-        assert shim.recommend_batch([]) == {}
-
-    def test_shim_scores_live_model_after_training(self, tiny_train_graph, tiny_scene_graph, tiny_split):
-        """Legacy contract: no refresh() step existed, so no staleness allowed."""
-        from repro.models import TopKRecommender
-
-        model = build_model("BPR-MF", tiny_train_graph, tiny_scene_graph, embedding_dim=8, seed=0)
-        with pytest.warns(DeprecationWarning):
-            shim = TopKRecommender(model, tiny_train_graph, tiny_scene_graph)
-        before = shim.score_all_items(0).copy()
-        Trainer(model, tiny_split, TrainConfig(epochs=1, batch_size=64, eval_every=0)).fit()
-        after = shim.score_all_items(0)
-        assert not np.allclose(after, before)
-        all_items = np.arange(tiny_train_graph.num_items)
-        np.testing.assert_allclose(after, model.score(np.full(all_items.size, 0), all_items), atol=1e-9)
-
-
-def test_recommendation_type_is_shared():
-    """serving and the legacy models.service expose the same dataclass."""
-    from repro.models.service import Recommendation as LegacyRecommendation
-
-    assert LegacyRecommendation is Recommendation
 
 
 def test_response_rejects_misaligned_results():
